@@ -7,7 +7,7 @@ import repro.harness.experiments._
 /** Shared spark-submit scaffolding for the experiment entrypoints. */
 object Jobs {
   def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions",

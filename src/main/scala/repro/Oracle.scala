@@ -2,7 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+
+import repro.zset.ZSet
 
 /** DuckDB correctness oracle.
   *
@@ -17,20 +18,13 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
+  /** Rows as canonical strings, columns in name order, rows sorted column
+    * by column.
+    */
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
-    rows
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
-        }
-      })
-      .sortBy(_.mkString(""))
+    import scala.math.Ordering.Implicits.seqOrdering
+    val idx = cols.sorted.map(cols.indexOf)
+    rows.map(r => idx.map(i => ZSet.canonValue(r.get(i)))).sortBy(identity)
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

@@ -1,10 +1,10 @@
 package repro.agg
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 
 import repro.circuit.Op
-import repro.zset.ZSet
+import repro.zset.{Accumulator, ZSet}
 
 /** Aggregation functions over Z-sets (§7.2). COUNT and SUM are *linear*
   * maps from Z[A] into the result group; MIN is not (deletions may need the
@@ -69,79 +69,66 @@ object GroupAggregate {
   * for *groupings that changed* — §7.4's "partly incremental" evaluation.
   *
   * For linear aggregates (COUNT/SUM/AVG) the state is one accumulator row
-  * per group. For MIN the full input integral is kept and the touched
-  * groups' minima recomputed from it — the paper's brute-force fallback.
+  * per group, kept as an append-only Z-set: a group's row is replaced by
+  * adding the retraction of the old row and the new row. For MIN the full
+  * input integral is kept and the touched groups' minima recomputed from it
+  * — the paper's brute-force fallback. Either way a group's view row is the
+  * rendering of its accumulators, so the old rows to retract are rendered
+  * from the old accumulators and no copy of the view is kept.
   */
 final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
     extends Op[ZSet, ZSet] {
   require(keys.nonEmpty, "use IncrementalScalarAggregate for global aggregates")
 
-  private val W = ZSet.W
-  private var acc: Option[DataFrame] = None                    // keys ++ accumulators (linear only)
-  private var integral: Option[repro.zset.Accumulator] = None  // full input integral (MIN only)
-  private var view: Option[ZSet] = None                        // current output view (for retractions)
+  // Accumulator rows per group (linear), or the input integral (MIN).
+  private var state: Option[Accumulator] = None
 
-  private def isLinear: Boolean = f match {
-    case _: AggFunc.Min => false
-    case _              => true
-  }
+  private val keyCols = keys.map(col)
+  private val accExprs = GroupAggregate.accExprs(f)
+
+  private def stateLike(z: ZSet): Accumulator =
+    state.getOrElse { val a = Accumulator.empty(z.spark, z.dataSchema); state = Some(a); a }
+
+  /** Per-group accumulator rows of `z` (weight 1 each). */
+  private def aggregate(z: ZSet, exprs: Seq[Column]): ZSet =
+    ZSet.derived(
+      z.df.groupBy(keyCols: _*).agg(exprs.head, exprs.tail: _*).withColumn(ZSet.W, lit(1L)), z)
+
+  /** The view rows of the given accumulator rows: one per non-empty group. */
+  private def rows(accs: ZSet): ZSet =
+    ZSet.derived(
+      accs.df
+        .where(col("__cnt") =!= 0)
+        .select((keyCols :+ (GroupAggregate.render(f) as f.alias)): _*)
+        .withColumn(ZSet.W, lit(1L)),
+      accs)
 
   def step(d: ZSet): ZSet = {
-    val spark = d.spark
     // One aggregation of the change gives both the per-group delta and the
     // touched-key set (its key column is already unique).
-    val dAgg = d.df.groupBy(keys.map(col): _*)
-      .agg(GroupAggregate.accExprs(f).head, GroupAggregate.accExprs(f).tail: _*)
-      .localCheckpoint()
-    val touched = broadcast(dAgg.select(keys.map(col): _*))
+    val dAgg = aggregate(d, accExprs).compact()
+    val touched = dAgg.project(keys: _*)
 
-    // New accumulator rows for the touched groups.
-    val newTouched: DataFrame =
-      if (isLinear) {
-        acc match {
-          case None => dAgg
-          case Some(st) =>
-            val oldTouched = st.join(touched, keys.toSeq, "left_semi")
-            val accs = sumAccs()
-            oldTouched.unionByName(dAgg)
-              .groupBy(keys.map(col): _*)
-              .agg(accs.head, accs.tail: _*)
-        }
-      } else {
-        // MIN: recompute touched groups from the updated integral, restricted
-        // to the touched keys first (broadcast semi-join ≈ indexed lookup).
-        val a = integral.getOrElse {
-          val x = repro.zset.Accumulator.empty(spark, d.dataSchema); integral = Some(x); x
-        }
-        a.add(d.compact())
-        val restricted = a.value.df.join(touched, keys.toSeq, "left_semi")
-        ZSet.raw(restricted).consolidate().df
-          .groupBy(keys.map(col): _*)
-          .agg(GroupAggregate.accExprs(f).head, GroupAggregate.accExprs(f).tail: _*)
-      }
-
-    // One row per touched group — weight 1, no extra distinct needed.
-    val newRows = ZSet.raw(
-      newTouched
-        .where(col("__cnt") =!= 0)
-        .select((keys.map(col) :+ (GroupAggregate.render(f) as f.alias)): _*)
-        .withColumn(ZSet.W, lit(1L)))
-
-    val oldView = view.getOrElse(ZSet.empty(spark, newRows.dataSchema))
-    val oldRows = ZSet.raw(
-      oldView.df.join(touched, keys.toSeq, "left_semi"))
-
-    val out = newRows.minus(oldRows).compact()
-
-    if (isLinear) {
-      val untouched = acc.map(_.join(touched, keys.toSeq, "left_anti"))
-      val merged = untouched.map(_.unionByName(newTouched)).getOrElse(newTouched)
-      acc = Some(merged.where(col("__cnt") =!= 0).coalesce(8).localCheckpoint())
+    // Accumulator rows of the touched groups, before and after the change.
+    val (before, after) = f match {
+      case _: AggFunc.Min =>
+        // Recompute from the integral, restricted to the touched keys first
+        // (≈ indexed lookup).
+        val integral = stateLike(d)
+        val old = integral.value.restrictTo(touched)
+        integral.add(d)
+        (aggregate(old.consolidate(), accExprs), aggregate(old.plus(d).consolidate(), accExprs))
+      case _ =>
+        val accs = stateLike(dAgg)
+        val old = accs.value.restrictTo(touched).consolidate()
+        val next = aggregate(old.plus(dAgg), sumAccs()).filterZ(col("__cnt") =!= 0)
+        accs.add(next.minus(old))
+        (old, next)
     }
-    view = Some(oldView.plus(out).compact())
-    out
+    rows(after).minus(rows(before)).compact()
   }
 
+  /** Re-aggregation of accumulator rows: each accumulator column sums. */
   private def sumAccs(): Seq[Column] = f match {
     case AggFunc.Count(_) => Seq(sum(col("__cnt")) as "__cnt")
     case _                => Seq(sum(col("__cnt")) as "__cnt", sum(col("__sm")) as "__sm")

@@ -14,10 +14,10 @@ import repro.zset.{Accumulator, ZSet}
   *                 0  otherwise
   * }}}
   * Only multiplicities of tuples present in the change `d` can flip sign, so
-  * the evaluation restricts the stored integral to d's support (a broadcast
-  * semi-join — the indexed-lookup analogue) before aggregating; the state is
-  * maintained append-only. Time O(|d|) per tick (plus the unavoidable state
-  * scan), space O(R) — exactly §4.5's accounting.
+  * the evaluation restricts the stored integral to d's support
+  * (`ZSet.restrictTo` — the indexed-lookup analogue) before aggregating; the
+  * state is maintained append-only. Time O(|d|) per tick (plus the
+  * unavoidable state scan), space O(R) — exactly §4.5's accounting.
   */
 final class IncrementalDistinct extends Op[ZSet, ZSet] {
   private var acc: Option[Accumulator] = None // z⁻¹(I(d))
@@ -45,27 +45,26 @@ final class IncrementalDistinct extends Op[ZSet, ZSet] {
 
 object IncrementalDistinct {
   /** The H function of Proposition 4.7, evaluated only on the support of `d`:
-    * the integral is first restricted to d's tuples (broadcast semi-join),
-    * then per-tuple old/new multiplicities decide the sign flips.
+    * the integral is first restricted to d's tuples, then one aggregation
+    * over that restriction and `d` gives each tuple's old and new
+    * multiplicity, which decide the sign flips.
     */
   def h(i: ZSet, d: ZSet): ZSet = {
     val W = ZSet.W
-    val dc = d.consolidate().df
-    val keys = d.dataCols
-    val iMatched = i.df
-      .join(broadcast(dc.select(keys.map(col): _*)), keys.toSeq, "left_semi")
-      .groupBy(keys.map(col): _*)
-      .agg(sum(W) as "__wi")
-    val joined = dc.join(broadcast(iMatched), keys.toSeq, "left_outer")
-    val old = coalesce(col("__wi"), lit(0L))
-    val nw  = old + col(W)
-    val hWeight = when(old > 0 && nw <= 0, -1L)
-      .when(old <= 0 && nw > 0, 1L)
+    val dc = d.consolidate()
+    val keys = dc.dataCols.map(col)
+    val old = i.restrictTo(dc.support)
+    val both = old.df.select(keys :+ (col(W) as "__wi") :+ (lit(0L) as "__wd"): _*)
+      .unionByName(dc.df.select(keys :+ (lit(0L) as "__wi") :+ (col(W) as "__wd"): _*))
+      .groupBy(keys: _*)
+      .agg(sum("__wi") as "__wi", sum("__wd") as "__wd")
+    val wOld = col("__wi")
+    val wNew = wOld + col("__wd")
+    val hWeight = when(wOld > 0 && wNew <= 0, -1L)
+      .when(wOld <= 0 && wNew > 0, 1L)
       .otherwise(0L)
-    ZSet.raw(
-      joined
-        .withColumn(W, hWeight)
-        .drop("__wi")
-        .where(col(W) =!= 0))
+    ZSet.derived(
+      both.withColumn(W, hWeight).drop("__wi", "__wd").where(col(W) =!= 0),
+      old, dc)
   }
 }

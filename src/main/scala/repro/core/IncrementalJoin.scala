@@ -11,8 +11,9 @@ import repro.zset.{Accumulator, ZSet}
   * }}}
   * The two delayed integrals are the operator's state (space O(R), §4.5),
   * maintained append-only so each tick costs O(C): the change is compacted,
-  * the state is not rewritten. Each delta-vs-state join broadcasts the
-  * change side — Spark's analogue of an indexed state lookup.
+  * a large state is not rewritten. Each delta-vs-state join broadcasts the
+  * change side — Spark's analogue of an indexed state lookup — unless both
+  * sides are single-partition and join locally.
   */
 final class IncrementalJoin(keys: Seq[String]) extends Op2[ZSet, ZSet, ZSet] {
   private var accA: Option[Accumulator] = None // z⁻¹(I(a))

@@ -72,14 +72,15 @@ final class IncrementalTransitiveClosure(spark: SparkSession, maxIter: Int = 500
       val j = join.step(eIn.mapRows("h", "t AS s"), fb)
       val pre = base.plus(j.mapRows("h AS s", "u")).compact()
       val out = dist.step(pre).compact()
+      // Both counts were recorded by `compact()`: the test runs no job.
       val size = out.entryCount
       sizes += size
-      total = total.plus(out).compact()
+      total = total.plus(out)
       fb = out
       t2 += 1
       done = t2 >= prevMaxIter && size == 0 && pre.isEmpty
     }
     prevMaxIter = math.max(prevMaxIter, t2)
-    (total, IncTcStats(t2, sizes.toSeq))
+    (total.consolidate(), IncTcStats(t2, sizes.toSeq))
   }
 }

@@ -142,36 +142,34 @@ object NestedIncrementalDistinct {
     */
   def doubleH(c10: ZSet, c00: ZSet, e1: ZSet, e0: ZSet): ZSet = {
     val W = ZSet.W
-    val keys = e1.dataCols
+    val keys = e1.dataCols.map(col)
     // Candidate keys: anything either column delta touches, weight 1.
-    val cand = support(e1).plus(support(e0)).distinctZ.df.drop(W)
+    val cand = e1.support.plus(e0.support).distinctZ
 
-    // Restrict the big cumulative corners to the candidate keys first
-    // (broadcast semi-join ≈ indexed lookup), then aggregate the small rest.
-    def ren(z: ZSet, n: String) = {
-      val restricted = z.df.join(broadcast(cand), keys, "left_semi")
-      broadcast(ZSet.raw(restricted).consolidate().df.withColumnRenamed(W, n))
-    }
-    val joined = cand
-      .join(ren(c10, "__c10"), keys, "left_outer")
-      .join(ren(c00, "__c00"), keys, "left_outer")
-      .join(ren(e1, "__e1"), keys, "left_outer")
-      .join(ren(e0, "__e0"), keys, "left_outer")
+    // Restrict each corner to the candidate keys first (≈ indexed lookup),
+    // then one aggregation gives every candidate's four corner weights.
+    val names = Seq("__c10", "__c00", "__e1", "__e0")
+    val restricted = Seq(c10, c00, e1, e0).map(_.restrictTo(cand))
+    val sums = restricted.zip(names)
+      .map { case (r, name) =>
+        r.df.select(keys ++ names.map(n => (if (n == name) col(W) else lit(0L)) as n): _*)
+      }
+      .reduce(_ unionByName _)
+      .groupBy(keys: _*)
+      .agg(sum(names.head) as names.head, names.tail.map(n => sum(n) as n): _*)
 
-    val w10 = coalesce(col("__c10"), lit(0L))
-    val w00 = coalesce(col("__c00"), lit(0L))
-    val w11 = w10 + coalesce(col("__e1"), lit(0L))
-    val w01 = w00 + coalesce(col("__e0"), lit(0L))
+    val w10 = col("__c10")
+    val w00 = col("__c00")
+    val w11 = w10 + col("__e1")
+    val w01 = w00 + col("__e0")
     def f(v: org.apache.spark.sql.Column) = when(v > 0, 1L).otherwise(0L)
     val weight = (f(w11) - f(w10)) - (f(w01) - f(w00))
 
-    ZSet.raw(
-      joined
+    ZSet.derived(
+      sums
         .withColumn(W, weight)
-        .drop("__c10", "__c00", "__e1", "__e0")
-        .where(col(W) =!= 0))
+        .drop(names: _*)
+        .where(col(W) =!= 0),
+      restricted: _*)
   }
-
-  private def support(z: ZSet): ZSet =
-    ZSet.raw(z.consolidate().df.withColumn(ZSet.W, lit(1L)))
 }

@@ -46,7 +46,9 @@ object Fixpoint {
         .compact()
       val size = next.entryCount
       work += size
-      done = next.minus(x).isEmpty
+      // Entry counts are recorded by `compact()`: only an iteration that
+      // kept the size runs the equality job.
+      done = size == x.entryCount && next.minus(x).isEmpty
       x = next
       iter += 1
     }

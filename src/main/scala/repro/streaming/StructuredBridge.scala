@@ -22,8 +22,6 @@ final class ForeachBatchDriver(tick: ZSet => ZSet) extends Serializable {
     * driver; the batch is materialized (localCheckpoint) to detach the tick's
     * computation from the streaming source plan.
     */
-  def handle(batch: Dataset[Row], batchId: Long): Unit = {
-    val z = ZSet.raw(batch.localCheckpoint())
-    buf += tick(z).compact()
-  }
+  def handle(batch: Dataset[Row], batchId: Long): Unit =
+    buf += tick(ZSet.raw(batch).compact()).compact()
 }

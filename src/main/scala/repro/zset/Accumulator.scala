@@ -9,6 +9,11 @@ import org.apache.spark.sql.types.StructType
   * paying it on every tick. This matches the paper's cost model for stateful
   * operators (§4.5): O(C) time per tick, O(R) space.
   *
+  * A state small enough to be one partition (see `ZSet.compact()`) is
+  * instead compacted together with each change, in the one job that would
+  * have materialized the change: its plan keeps one shape from tick to tick,
+  * and it never grows into a union of chunks.
+  *
   * `value` is the current integral as an (possibly unconsolidated) Z-set —
   * all Z-set operators are indifferent to the representation.
   */
@@ -20,18 +25,17 @@ final class Accumulator private (
 
   def value: ZSet = state
 
-  /** Add a change. The delta is compacted (small); the big state is not. */
-  def add(d: ZSet): Unit = {
-    state = state.plus(d)
-    pendingChunks += 1
-    if (pendingChunks >= consolidateEvery) {
-      state = state.compact()
-      pendingChunks = 0
+  /** Add a change, materializing it. */
+  def add(d: ZSet): Unit =
+    if (state.isSinglePartition && d.isSinglePartition) state = state.plus(d).compact()
+    else {
+      state = state.plus(d.compact())
+      pendingChunks += 1
+      if (pendingChunks >= consolidateEvery) {
+        state = state.compact()
+        pendingChunks = 0
+      }
     }
-  }
-
-  /** Add a change that is already materialized (skips the delta compact). */
-  def addCompacted(d: ZSet): Unit = add(d)
 }
 
 object Accumulator {

@@ -7,13 +7,13 @@ import org.apache.spark.sql.types._
 import repro.algebra.Group
 import repro.circuit.Op
 import repro.zset.ZSet
-import repro.{SparkSpec, ZSetFixtures}
+import repro.{SparkProbes, SparkSpec, ZSetFixtures}
 
 /** Theorem 3.4 (incremental join) and Proposition 4.7 (incremental distinct)
   * checked against the brute-force D ∘ Q ∘ I on randomized change streams —
   * the heart of the incrementalization algorithm.
   */
-class IncrementalOpsSpec extends SparkSpec with ZSetFixtures {
+class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
 
   private val schema2 = StructType(Seq(
     StructField("k", LongType, nullable = false),
@@ -200,5 +200,63 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures {
     val direct = Op.lift(flat _)
     val brute = Op.incremental(Op.lift(flat _))(g1, gOut)
     deltas.foreach { d => assert(direct.step(d).zequals(brute.step(d))) }
+  }
+
+  test("a join tick over small inputs plans no exchange, through an aliasing projection and a sum") {
+    val op = new IncrementalJoin(Seq("k"))
+    op.step(zs2("k", "va", (1L, 10L) -> 1L, (2L, 20L) -> 1L).compact(),
+      zs2("k", "vb", (1L, 100L) -> 1L, (2L, 200L) -> 1L).compact())
+    val out = op.step(zs2("k", "va", (2L, 21L) -> 1L, (1L, 10L) -> -1L).compact(),
+      zs2("k", "vb", (2L, 201L) -> 1L).compact())
+    assert(out.isSinglePartition)
+    assert(exchangesIn(out.df).isEmpty, out.df.queryExecution.executedPlan.toString)
+    // A sort-merge join's output, renamed by a projection and unioned with
+    // another single-partition Z-set, still consolidates without a shuffle.
+    val other = zs2("key", "va", (9L, 9L) -> 1L).compact()
+    val renamed = out.mapRows("k AS key", "va").plus(other).consolidate()
+    assert(exchangesIn(renamed.df).isEmpty, renamed.df.queryExecution.executedPlan.toString)
+    // Probing that output (a one-partition coalesce over the join) by a key
+    // set: Catalyst would push a left semi-join below the coalesce.
+    val probed = out.restrictTo(zs1("k", 2L -> 1L).compact())
+    assert(exchangesIn(probed.df).isEmpty, probed.df.queryExecution.executedPlan.toString)
+    assert(probed.entryCount == 3)
+    assert(entriesOf(out) == Set(
+      (Seq("1", "10", "100"), -1L), (Seq("2", "20", "201"), 1L),
+      (Seq("2", "21", "200"), 1L), (Seq("2", "21", "201"), 1L)))
+  }
+
+  test("compacted Z-sets carry their observed size: a chain of compacted joins plans no exchange") {
+    // Each join's estimate is the product of its inputs'. A compacted result
+    // that inherited it would, a few joins down, exceed
+    // spark.sql.maxSinglePartitionBytes, and Spark would shuffle the join.
+    val chained = (1 to 6).foldLeft(zs2("k", "x0", (1L, 0L) -> 1L, (2L, 0L) -> 1L).compact()) {
+      (z, i) => z.join(zs2("k", s"x$i", (1L, i.toLong) -> 1L, (2L, i.toLong) -> 1L).compact(),
+        Seq("k")).compact()
+    }
+    val last = chained.join(zs2("k", "y", (2L, 9L) -> 1L).compact(), Seq("k"))
+    assert(exchangesIn(last.df).isEmpty, last.df.queryExecution.executedPlan.toString)
+    assert(entriesOf(last) == Set((Seq("2", "0", "1", "2", "3", "4", "5", "6", "9"), 1L)))
+  }
+
+  test("a Z-set above the single-partition limit keeps its partitions and joins like the batch") {
+    val key = "spark.sql.adaptive.coalescePartitions.minPartitionSize"
+    val saved = spark.conf.get(key)
+    spark.conf.set(key, "1k")
+    try {
+      import org.apache.spark.sql.functions.{col, lit}
+      val big = ZSet.raw(spark.range(4000)
+        .select(col("id") % 1000 as "k", col("id") as "va", lit(1L) as ZSet.W)).compact()
+      assert(!big.isSinglePartition && big.df.rdd.getNumPartitions > 1)
+      assert(big.entryCount == 4000)
+      val small = zs2("k", "vb", (7L, 1L) -> 1L, (8L, 2L) -> 1L).compact()
+      assert(small.isSinglePartition)
+      val op = new IncrementalJoin(Seq("k"))
+      op.seed(big, ZSet.empty(spark, small.dataSchema))
+      val dBig = zs2("k", "va", (7L, 5000L) -> 1L, (7L, 7L) -> -1L).compact()
+      val out = op.step(dBig, small)
+      val batch = big.plus(dBig).join(small, Seq("k"))
+      assert(out.zequals(batch))
+      assert(out.entryCount == 8)
+    } finally spark.conf.set(key, saved)
   }
 }

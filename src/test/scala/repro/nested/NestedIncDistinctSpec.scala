@@ -6,12 +6,12 @@ import org.apache.spark.sql.types._
 
 import repro.algebra.Group
 import repro.zset.ZSet
-import repro.{SparkSpec, ZSetFixtures}
+import repro.{SparkProbes, SparkSpec, ZSetFixtures}
 
 /** The doubly-incremental distinct `(↑(↑distinct)^Δ)^Δ` (Figure 2's largest
   * sub-circuit) against the brute-force D ∘ ↑D ∘ ↑↑distinct ∘ ↑I ∘ I.
   */
-class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
+class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures with SparkProbes {
 
   private val schema = StructType(Seq(StructField("k", LongType, nullable = false)))
   private implicit lazy val g: Group[ZSet] = ZSet.group(spark, schema)
@@ -77,7 +77,6 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
     val rnd = new Random(43)
     val matrix = Seq.fill(3)(Seq.fill(2)(randDelta(rnd)))
     val opt = new NestedIncrementalDistinct
-    var outTotal = ZSet.empty(spark, schema)
     var lastRowOut = ZSet.empty(spark, schema)
     var inTotalLastRow = ZSet.empty(spark, schema)
     var inCum = ZSet.empty(spark, schema)
@@ -93,5 +92,22 @@ class NestedIncDistinctSpec extends SparkSpec with ZSetFixtures {
     }
     // ↑∫ then I over outer of the output = distinct of the fully-integrated input.
     assert(lastRowOut.zequals(inTotalLastRow.distinctZ))
+  }
+
+  test("a step over small inputs plans no exchange: the corner probes stay single-partition") {
+    // Each step probes four single-partition corners with a single-partition
+    // candidate key set and aggregates the results: nothing may shuffle.
+    val opt = new NestedIncrementalDistinct
+    val rows = Seq(
+      Seq(zs1("k", 1L -> 1L, 2L -> 1L), zs1("k", 3L -> 2L), zs1("k", 1L -> -1L)),
+      Seq(zs1("k", 2L -> -1L, 4L -> 1L), zs1("k", 1L -> 1L), zs1("k", 3L -> -2L)))
+    rows.foreach { row =>
+      opt.newOuterTick()
+      row.foreach { d =>
+        val o = opt.step(d.compact())
+        assert(o.isSinglePartition)
+        assert(exchangesIn(o.df).isEmpty, o.df.queryExecution.executedPlan.toString)
+      }
+    }
   }
 }

@@ -2,10 +2,10 @@ package repro.zset
 
 import org.apache.spark.sql.types._
 
-import repro.{SparkSpec, ZSetFixtures}
+import repro.{SparkProbes, SparkSpec, ZSetFixtures}
 
 /** §4.1–4.2: the Z-set group and its relational operators. */
-class ZSetSpec extends SparkSpec with ZSetFixtures {
+class ZSetSpec extends SparkSpec with ZSetFixtures with SparkProbes {
 
   // The paper's running example: R = {joe ↦ 1, anne ↦ −1}.
   private def paperR: ZSet = zsS("name", "joe" -> 1L, "anne" -> -1L)
@@ -166,5 +166,42 @@ class ZSetSpec extends SparkSpec with ZSetFixtures {
     val b = zs1("k", 2L -> 1L, 3L -> 1L)
     val union = a.plus(b).distinctZ
     assert(entriesOf(union) == Set((Seq("1"), 1L), (Seq("2"), 1L), (Seq("3"), 1L)))
+  }
+
+  test("entries and the oracle sort column by column: (1, 23) and (12, 3) do not collide") {
+    val spark = this.spark
+    import spark.implicits._
+    val rows = Seq(("12", "3"), ("1", "23"))
+    val expected = Seq((Seq("1", "23"), 1L), (Seq("12", "3"), 1L))
+    val orders = Seq(rows, rows.reverse)
+    for (order <- orders)
+      assert(ZSet.raw(order.map { case (a, b) => (a, b, 1L) }.toDF("a", "b", ZSet.W))
+        .entries() == expected)
+    // Whatever order each side returns the rows in, the oracle agrees.
+    for (sparkOrder <- orders; duckOrder <- orders)
+      repro.Oracle.assertEquivalent(sparkOrder.toDF("a", "b"), "SELECT a, b FROM t",
+        "t" -> duckOrder.toDF("a", "b"))
+  }
+
+  test("compact records the entry count: isEmpty, nonEmpty and entryCount start no job") {
+    val c = zs1("k", 1L -> 2L, 2L -> 1L, 1L -> -2L, 3L -> 4L).compact()
+    val e = zs1("k", 1L -> 1L, 1L -> -1L).compact()
+    var seen: (Boolean, Boolean, Long, Boolean, Boolean, Long) = null
+    val jobs = jobsDuring {
+      seen = (c.isEmpty, c.nonEmpty, c.entryCount, e.isEmpty, e.nonEmpty, e.entryCount)
+    }
+    assert(jobs == 0)
+    assert(seen == ((false, true, 2L, true, false, 0L)))
+    // The probe does see the job of an uncompacted Z-set's count.
+    assert(jobsDuring(zs1("k", 1L -> 1L).entryCount) > 0)
+  }
+
+  test("a small compacted Z-set is one partition; a known-empty operand of plus is dropped") {
+    val c = zs1("k", 1L -> 2L, 2L -> 1L).compact()
+    assert(c.isSinglePartition && c.df.rdd.getNumPartitions == 1)
+    val e = zs1("k", 1L -> 1L, 1L -> -1L).compact()
+    assert(c.plus(e) eq c)
+    assert(e.plus(c) eq c)
+    assert(entriesOf(c.plus(e)) == Set((Seq("1"), 2L), (Seq("2"), 1L)))
   }
 }
