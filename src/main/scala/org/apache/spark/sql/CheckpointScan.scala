@@ -11,26 +11,29 @@ import org.apache.spark.sql.execution.LogicalRDD
   * equi-join estimates the product of its inputs), and its partitioning is
   * unknown whenever adaptive execution ran that plan. Both make Catalyst
   * plan exchanges over a small result. This scan carries the observed row
-  * count as its statistics and, when asked, reports its one partition as
-  * `SinglePartition`.
+  * count as its statistics and, when the estimated size fits the given
+  * limit, is one partition reported as `SinglePartition`.
   *
   * It lives in Spark's package because building a DataFrame from a logical
   * plan (`Dataset.ofRows`) is private to it.
   */
 object CheckpointScan {
-  def apply(checkpoint: DataFrame, rows: Long, singlePartition: Boolean): DataFrame =
+  /** The scan, and whether it is one partition. */
+  def apply(checkpoint: DataFrame, rows: Long, singlePartitionBytes: Long): (DataFrame, Boolean) =
     checkpoint.queryExecution.logical match {
       case scan: LogicalRDD =>
         val session = checkpoint.sparkSession.asInstanceOf[classic.SparkSession]
         val stats = Statistics(
           sizeInBytes = EstimationUtils.getSizePerRow(scan.output) * rows,
           rowCount = Some(BigInt(rows)))
+        val singlePartition = stats.sizeInBytes <= singlePartitionBytes
         val rdd =
           if (singlePartition && scan.rdd.getNumPartitions != 1) scan.rdd.coalesce(1)
           else scan.rdd
         val partitioning = if (singlePartition) SinglePartition else scan.outputPartitioning
-        classic.Dataset.ofRows(session,
-          LogicalRDD(scan.output, rdd, partitioning, Nil, scan.isStreaming)(session, Some(stats)))
+        (classic.Dataset.ofRows(session,
+          LogicalRDD(scan.output, rdd, partitioning, Nil, scan.isStreaming)(session, Some(stats))),
+          singlePartition)
       case other =>
         throw new IllegalArgumentException(s"not a checkpoint scan: ${other.nodeName}")
     }

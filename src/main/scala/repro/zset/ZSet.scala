@@ -152,12 +152,14 @@ final class ZSet private (
     * set-like Z-set such as a `support` (semi-join as a bilinear product with
     * weights 1). The key set is broadcast unless both sides are one
     * partition. The result is treated as change-sized: when the key set is
-    * one partition, so is the result, whatever the size of this Z-set.
+    * one partition, so is the result. A multi-partition Z-set is still
+    * probed in parallel; only the matching rows are shuffled into one
+    * partition.
     */
   def restrictTo(keys: ZSet): ZSet = {
     val r = join(keys.broadcastHint, keys.dataCols)
     if (r.isSinglePartition || !keys.isSinglePartition) r
-    else new ZSet(r.df.coalesce(1), r.knownRows, isSinglePartition = true)
+    else new ZSet(r.df.repartition(1), r.knownRows, isSinglePartition = true)
   }
 
   /** A product of two Z-sets whose weights multiply. A known-empty side makes
@@ -271,8 +273,8 @@ final class ZSet private (
       val n = observed.queryExecution.observedMetrics(ZSet.RowsMetric).getLong(0)
       if (n == 0L) ZSet.empty(spark, dataSchema)
       else {
-        val single = n * ZSet.rowBytes(cp.schema) <= ZSet.singlePartitionBytes(spark)
-        new ZSet(CheckpointScan(cp, n, single), Some(n), single)
+        val (scan, single) = CheckpointScan(cp, n, ZSet.singlePartitionBytes(spark))
+        new ZSet(scan, Some(n), single)
       }
     }
 
@@ -326,11 +328,6 @@ object ZSet {
 
   /** Name of the row count `compact()` observes. */
   private val RowsMetric = "zset_rows"
-
-  /** Estimated bytes per row, as Catalyst estimates it from a schema
-    * (`EstimationUtils.getSizePerRow` without column statistics).
-    */
-  private def rowBytes(schema: StructType): Long = 8L + schema.fields.map(_.dataType.defaultSize.toLong).sum
 
   /** Largest estimated size that `compact()` exposes as one partition. */
   private def singlePartitionBytes(spark: SparkSession): Long =

@@ -2,6 +2,7 @@ package repro.core
 
 import scala.util.Random
 
+import org.apache.spark.sql.execution.CoalesceExec
 import org.apache.spark.sql.types._
 
 import repro.algebra.Group
@@ -238,7 +239,7 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
     assert(entriesOf(last) == Set((Seq("2", "0", "1", "2", "3", "4", "5", "6", "9"), 1L)))
   }
 
-  test("a Z-set above the single-partition limit keeps its partitions and joins like the batch") {
+  test("a Z-set above the single-partition limit keeps its partitions, and joins and is probed like the batch") {
     val key = "spark.sql.adaptive.coalescePartitions.minPartitionSize"
     val saved = spark.conf.get(key)
     spark.conf.set(key, "1k")
@@ -257,6 +258,18 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
       val batch = big.plus(dBig).join(small, Seq("k"))
       assert(out.zequals(batch))
       assert(out.entryCount == 8)
+      // Probing it by a small key set scans it in parallel (no one-task
+      // coalesce); only the matching rows are shuffled into one partition,
+      // which a consolidation then uses without another exchange.
+      val probed = big.restrictTo(small.project("k").support)
+      val plan = probed.df.queryExecution.executedPlan
+      assert(collectWithSubqueries(plan) { case c: CoalesceExec => c }.isEmpty, plan.toString)
+      assert(probed.isSinglePartition && probed.df.rdd.getNumPartitions == 1)
+      val consolidated = probed.consolidate().df
+      assert(exchangesIn(consolidated).count(_ == "Exchange") == 1,
+        consolidated.queryExecution.executedPlan.toString)
+      assert(probed.zequals(big.filterZ(col("k").isin(7L, 8L))))
+      assert(probed.entryCount == 8)
     } finally spark.conf.set(key, saved)
   }
 }
