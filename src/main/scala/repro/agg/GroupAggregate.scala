@@ -75,15 +75,19 @@ object GroupAggregate {
   * — the paper's brute-force fallback. Either way a group's view row is the
   * rendering of its accumulators, so the old rows to retract are rendered
   * from the old accumulators and no copy of the view is kept.
+  *
+  * With no `keys` this is a global aggregate (§7.2's linear aggregation
+  * followed by `makeset`): one group under a constant key that the output
+  * leaves out, so the view is a singleton of the aggregate's value.
   */
 final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
     extends Op[ZSet, ZSet] {
-  require(keys.nonEmpty, "use IncrementalScalarAggregate for global aggregates")
 
   // Accumulator rows per group (linear), or the input integral (MIN).
   private var state: Option[Accumulator] = None
 
-  private val keyCols = keys.map(col)
+  private val groupKeys = if (keys.isEmpty) Seq("__global") else keys
+  private val keyCols = groupKeys.map(col)
   private val accExprs = GroupAggregate.accExprs(f)
 
   private def stateLike(z: ZSet): Accumulator =
@@ -99,15 +103,18 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
     ZSet.derived(
       accs.df
         .where(col("__cnt") =!= 0)
-        .select((keyCols :+ (GroupAggregate.render(f) as f.alias)): _*)
+        .select((keys.map(col) :+ (GroupAggregate.render(f) as f.alias)): _*)
         .withColumn(ZSet.W, lit(1L)),
       accs)
 
-  def step(d: ZSet): ZSet = {
+  def step(change: ZSet): ZSet = {
+    val d =
+      if (keys.nonEmpty) change
+      else ZSet.derived(change.df.withColumn(groupKeys.head, lit(0)), change)
     // One aggregation of the change gives both the per-group delta and the
     // touched-key set (its key column is already unique).
     val dAgg = aggregate(d, accExprs).compact()
-    val touched = dAgg.project(keys: _*)
+    val touched = dAgg.project(groupKeys: _*)
 
     // Accumulator rows of the touched groups, before and after the change.
     val (before, after) = f match {
@@ -132,64 +139,5 @@ final class IncrementalGroupAggregate(keys: Seq[String], f: AggFunc)
   private def sumAccs(): Seq[Column] = f match {
     case AggFunc.Count(_) => Seq(sum(col("__cnt")) as "__cnt")
     case _                => Seq(sum(col("__cnt")) as "__cnt", sum(col("__sm")) as "__sm")
-  }
-}
-
-/** Global (non-grouped) aggregates (§7.2): the linear aggregation followed by
-  * `makeset` to produce a singleton Z-set. Linear accumulators update in
-  * O(|change|); `(↑makeset)^Δ` is the retract/assert pair on the singleton.
-  * MIN keeps the full integral and recomputes (brute force).
-  */
-final class IncrementalScalarAggregate(f: AggFunc) extends Op[ZSet, ZSet] {
-  private var cnt: Long = 0L
-  private var sm: Double = 0.0
-  private var integral: Option[ZSet] = None
-  private var prevRow: Option[ZSet] = None
-
-  def step(d: ZSet): ZSet = {
-    val spark = d.spark
-    f match {
-      case _: AggFunc.Min =>
-        val next = integral.map(_.plus(d)).getOrElse(d).compact()
-        integral = Some(next)
-      case _ =>
-        val r = d.df.agg(
-          coalesce(sum(col(ZSet.W)), lit(0L)),
-          f match {
-            case AggFunc.Sum(c, _) => coalesce(sum(col(c).cast("double") * col(ZSet.W)), lit(0.0))
-            case AggFunc.Avg(c, _) => coalesce(sum(col(c).cast("double") * col(ZSet.W)), lit(0.0))
-            case _                 => lit(0.0)
-          }).head()
-        cnt += r.getLong(0)
-        sm += r.getDouble(1)
-    }
-
-    val newRow: ZSet = f match {
-      case AggFunc.Count(a) =>
-        if (cnt == 0) emptyOut(spark, a, longTyped = true)
-        else ZSet.fromSet(spark.range(1).select(lit(cnt) as a))
-      case AggFunc.Sum(_, a) =>
-        if (cnt == 0) emptyOut(spark, a, longTyped = false)
-        else ZSet.fromSet(spark.range(1).select(lit(sm) as a))
-      case AggFunc.Avg(_, a) =>
-        if (cnt == 0) emptyOut(spark, a, longTyped = false)
-        else ZSet.fromSet(spark.range(1).select(lit(sm / cnt) as a))
-      case AggFunc.Min(c, a) =>
-        val i = integral.get.consolidate().df
-        val m = i.where(col(ZSet.W) > 0).agg(min(col(c)) as a)
-        ZSet.fromSet(m.where(col(a).isNotNull))
-    }
-
-    val old = prevRow.getOrElse(ZSet.empty(spark, newRow.dataSchema))
-    val out = newRow.minus(old).consolidate()
-    prevRow = Some(newRow.compact())
-    out
-  }
-
-  private def emptyOut(spark: org.apache.spark.sql.SparkSession, a: String, longTyped: Boolean): ZSet = {
-    val df =
-      if (longTyped) spark.range(1).select(lit(0L) as a).where(lit(false))
-      else spark.range(1).select(lit(0.0) as a).where(lit(false))
-    ZSet.fromSet(df)
   }
 }

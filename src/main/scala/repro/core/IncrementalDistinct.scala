@@ -22,8 +22,6 @@ import repro.zset.{Accumulator, ZSet}
 final class IncrementalDistinct extends Op[ZSet, ZSet] {
   private var acc: Option[Accumulator] = None // z⁻¹(I(d))
 
-  def integralState: Option[ZSet] = acc.map(_.value)
-
   /** Bootstrap the stored integral with a pre-integrated relation (the bulk
     * tick's output is discarded). Must be called before the first `step`.
     */

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 import repro.SynthData
-import repro.core.{IncrementalDistinct, IncrementalJoin}
+import repro.core.{IncrementalBilinear, IncrementalDistinct}
 import repro.harness.Report
 import repro.zset.ZSet
 
@@ -37,7 +37,7 @@ object E2IncrementalJoin {
       ZSet.fromBag(SynthData.uniformKeys(spark, c, nKeys, seed)
         .select(col("k"), (col("v") * 1000).cast("long") as "va")).compact()
 
-    val inc = new IncrementalJoin(Seq("k"))
+    val inc = new IncrementalBilinear(_.join(_, Seq("k")))
     inc.seed(a, b)
     inc.step(delta(99), emptyB).physicalCount // warm-up tick, unmeasured
     val das = (0 until 3).map(r => delta(3 + r))

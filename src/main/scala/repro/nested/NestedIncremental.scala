@@ -46,8 +46,8 @@ final class NestedIncrementalBilinear[A, B, C](times: (A, B) => C)(
 }
 
 /** Brute-force doubly-incremental unary operator: D ∘ ↑D ∘ ↑↑f ∘ ↑I ∘ I
-  * (§6.2's "unoptimized loop body"). Reference implementation for tests and
-  * the baseline measured in experiment E5.
+  * (§6.2's "unoptimized loop body"). Reference implementation for the tests
+  * of the efficient nested operators.
   */
 final class NestedIncrementalUnaryBrute[A, B](f: A => B)(
     implicit ga: Group[A], gb: Group[B]) {

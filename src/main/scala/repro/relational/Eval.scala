@@ -4,39 +4,60 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.functions.expr
 
-import repro.core.{IncrementalCartesian, IncrementalDistinct, IncrementalJoin}
+import repro.core.{IncrementalBilinear, IncrementalDistinct}
 import repro.zset.ZSet
 
 import ZExpr._
 
-/** Non-incremental ("scalar") evaluation of a Z-set circuit on one database
-  * snapshot — the circuits of Table 1 before lifting.
+/** The one evaluator of a Z-set circuit: a fold over the `ZExpr` tree that
+  * computes the linear nodes (σ, π/map, −, +) itself and hands each bilinear
+  * node (⋈, ×) and each distinct to the caller. Batch, incremental and
+  * nested evaluation differ only in those two handlers — which is exactly
+  * what Algorithm 4.8 step 5 and its §6 nested analogue rewrite.
+  *
+  * Structurally identical subtrees are evaluated once per call, so a handler
+  * that keeps per-node state (keyed by the node) shares one operator between
+  * them, mirroring common-subexpression sharing in the circuit diagram.
   */
-object BatchEval {
+object Eval {
+
+  /** Evaluate `e` over `inputs`. `bilinear` gets a ⋈/× node, its evaluated
+    * operands and the node's product on Z-sets; `distinct` gets a distinct
+    * node and its evaluated input.
+    */
+  def fold(e: ZExpr, inputs: Map[String, ZSet])(
+      bilinear: (ZExpr, ZSet, ZSet, (ZSet, ZSet) => ZSet) => ZSet,
+      distinct: (ZExpr, ZSet) => ZSet): ZSet = {
+    val memo = mutable.Map.empty[ZExpr, ZSet]
+    def go(e: ZExpr): ZSet = memo.getOrElseUpdate(e, e match {
+      case ZInput(n)      => inputs.getOrElse(n, sys.error(s"missing input $n"))
+      case ZFilter(in, p) => go(in).filterZ(expr(p))
+      case ZMap(in, es)   => go(in).mapRows(es: _*)
+      case ZNeg(in)       => go(in).negate
+      case ZSum(a, b)     => go(a).plus(go(b))
+      case ZJoin(a, b, k) => bilinear(e, go(a), go(b), (x, y) => x.join(y, joinKeys(x, y, k)))
+      case ZCross(a, b)   => bilinear(e, go(a), go(b), _ cartesian _)
+      case ZDistinct(in)  => distinct(e, go(in))
+    })
+    go(e)
+  }
 
   /** Resolve intersect's "join on all columns" encoding (empty key list). */
-  private[relational] def joinKeys(a: ZSet, b: ZSet, keys: Seq[String]): Seq[String] =
+  private def joinKeys(a: ZSet, b: ZSet, keys: Seq[String]): Seq[String] =
     if (keys.nonEmpty) keys
     else {
       val shared = a.dataCols.filter(b.dataCols.contains)
       require(shared.nonEmpty, "join-on-all with no shared columns")
       shared
     }
+}
 
-  def eval(e: ZExpr, inputs: Map[String, ZSet]): ZSet = {
-    val memo = mutable.Map.empty[ZExpr, ZSet]
-    def go(e: ZExpr): ZSet = memo.getOrElseUpdate(e, e match {
-      case ZInput(n)        => inputs.getOrElse(n, sys.error(s"missing input $n"))
-      case ZFilter(in, p)   => go(in).filterZ(expr(p))
-      case ZMap(in, es)     => go(in).mapRows(es: _*)
-      case ZNeg(in)         => go(in).negate
-      case ZSum(a, b)       => go(a).plus(go(b))
-      case ZJoin(a, b, k)   => { val (x, y) = (go(a), go(b)); x.join(y, joinKeys(x, y, k)) }
-      case ZCross(a, b)     => go(a).cartesian(go(b))
-      case ZDistinct(in)    => go(in).distinctZ
-    })
-    go(e)
-  }
+/** Non-incremental ("scalar") evaluation of a Z-set circuit on one database
+  * snapshot — the circuits of Table 1 before lifting.
+  */
+object BatchEval {
+  def eval(e: ZExpr, inputs: Map[String, ZSet]): ZSet =
+    Eval.fold(e, inputs)((_, a, b, times) => times(a, b), (_, z) => z.distinctZ)
 }
 
 /** A circuit runner: one tick per call, inputs and output are Z-sets.
@@ -51,38 +72,17 @@ trait Runner {
   * chain rule applied so every node computes directly on changes —
   *
   *  - linear nodes (σ, π/map, +, −) run unchanged (Theorem 3.3),
-  *  - ⋈/× become [[IncrementalJoin]]/[[IncrementalCartesian]] (Theorem 3.4),
+  *  - ⋈/× become [[IncrementalBilinear]] (Theorem 3.4),
   *  - distinct becomes [[IncrementalDistinct]] (Proposition 4.7).
-  *
-  * Structurally identical subtrees share one operator instance (and its
-  * state), mirroring common-subexpression sharing in the circuit diagram.
   */
 final class IncrementalRunner(circuit: ZExpr) extends Runner {
-  private val joins     = mutable.Map.empty[ZExpr, IncrementalJoin]
-  private val crosses   = mutable.Map.empty[ZExpr, IncrementalCartesian]
+  private val bilinears = mutable.Map.empty[ZExpr, IncrementalBilinear]
   private val distincts = mutable.Map.empty[ZExpr, IncrementalDistinct]
 
-  def step(inputs: Map[String, ZSet]): ZSet = {
-    val memo = mutable.Map.empty[ZExpr, ZSet]
-    def go(e: ZExpr): ZSet = memo.getOrElseUpdate(e, e match {
-      case ZInput(n)      => inputs.getOrElse(n, sys.error(s"missing input $n"))
-      case ZFilter(in, p) => go(in).filterZ(expr(p))
-      case ZMap(in, es)   => go(in).mapRows(es: _*)
-      case ZNeg(in)       => go(in).negate
-      case ZSum(a, b)     => go(a).plus(go(b))
-      case j @ ZJoin(a, b, k) =>
-        val (x, y) = (go(a), go(b))
-        val op = joins.getOrElseUpdate(j, new IncrementalJoin(BatchEval.joinKeys(x, y, k)))
-        op.step(x, y)
-      case c @ ZCross(a, b) =>
-        val op = crosses.getOrElseUpdate(c, new IncrementalCartesian)
-        op.step(go(a), go(b))
-      case d @ ZDistinct(in) =>
-        val op = distincts.getOrElseUpdate(d, new IncrementalDistinct)
-        op.step(go(in))
-    })
-    go(circuit)
-  }
+  def step(inputs: Map[String, ZSet]): ZSet =
+    Eval.fold(circuit, inputs)(
+      (node, a, b, times) => bilinears.getOrElseUpdate(node, new IncrementalBilinear(times)).step(a, b),
+      (node, d) => distincts.getOrElseUpdate(node, new IncrementalDistinct).step(d))
 }
 
 /** Algorithm 4.8 stopped after step 4: the lifted circuit surrounded by I

@@ -92,8 +92,10 @@ object Table1 {
     case Union(a, b)        => ZDistinct(ZSum(translate(a), translate(b)))
     // UNION ALL is plain Z-set addition (§7.1).
     case UnionAll(a, b)     => ZSum(translate(a), translate(b))
-    // a ∩ b: join on every column; weights multiply (1·1 = 1 on sets).
-    case Intersect(a, b)    => ZDistinct(joinOnAll(translate(a), translate(b), q))
+    // a ∩ b: join on every column; weights multiply (1·1 = 1 on sets). The
+    // column set is only known at evaluation time, so the key list is left
+    // empty and the evaluator resolves it to "all shared columns".
+    case Intersect(a, b)    => ZDistinct(ZJoin(translate(a), translate(b), Nil))
     // a \ b = distinct(a − b): negative weights "remove" elements.
     case Except(a, b)       => ZDistinct(ZSum(translate(a), ZNeg(translate(b))))
     case Cross(a, b)        => ZCross(translate(a), translate(b))
@@ -107,10 +109,4 @@ object Table1 {
       ZDistinct(ZSum(za, ZNeg(semi)))
     case Distinct(in)       => ZDistinct(translate(in))
   }
-
-  /** Intersection is a join on the full column set, which we only know at
-    * evaluation time; encode as a ZJoin with an empty key list resolved by
-    * the evaluator to "all shared columns".
-    */
-  private def joinOnAll(a: ZExpr, b: ZExpr, q: Rel): ZExpr = ZJoin(a, b, Nil)
 }

@@ -126,7 +126,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
   // ------------------------------------------------------- global (scalar)
 
   test("global SUM via makeset (§7.2 circuit): retract/assert singleton") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Sum("v", "s"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Sum("v", "s"))
     val o1 = inc.step(kv((1L, 10L) -> 1L, (2L, 5L) -> 2L).project("v").mapRows("v"))
     assert(entriesOf(o1) == Set((Seq("20.000000"), 1L)))
     val o2 = inc.step(kv((3L, 7L) -> 1L).project("v").mapRows("v"))
@@ -134,7 +134,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("global COUNT tracks insertions and deletions") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Count("c"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Count("c"))
     val o1 = inc.step(zs1("v", 10L -> 2L, 20L -> 1L))
     assert(entriesOf(o1) == Set((Seq("3"), 1L)))
     val o2 = inc.step(zs1("v", 10L -> -1L))
@@ -142,7 +142,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("global MIN is brute force but correct under deletions") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Min("v", "m"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Min("v", "m"))
     inc.step(zs1("v", 10L -> 1L, 20L -> 1L))
     val o2 = inc.step(zs1("v", 5L -> 1L))
     assert(entriesOf(o2) == Set((Seq("10"), -1L), (Seq("5"), 1L)))
@@ -151,7 +151,7 @@ class AggregateSpec extends SparkSpec with ZSetFixtures {
   }
 
   test("global AVG = SUM/COUNT (§7.2's composed circuit)") {
-    val inc = new IncrementalScalarAggregate(AggFunc.Avg("v", "a"))
+    val inc = new IncrementalGroupAggregate(Nil, AggFunc.Avg("v", "a"))
     val o1 = inc.step(zs1("v", 10L -> 1L, 20L -> 1L))
     assert(entriesOf(o1) == Set((Seq("15.000000"), 1L)))
     val o2 = inc.step(zs1("v", 30L -> 1L))

@@ -51,7 +51,7 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
     val as = Seq.fill(5)(randDelta2(rnd, "va"))
     val bs = Seq.fill(5)(randDelta2(rnd, "vb"))
 
-    val efficient = new IncrementalJoin(Seq("k"))
+    val efficient = new IncrementalBilinear(_.join(_, Seq("k")))
     val brute = Op.incremental2(ZSetOps.join(Seq("k")))(gA, gB, gC)
     as.zip(bs).foreach { case (da, db) =>
       val e = efficient.step(da, db)
@@ -77,7 +77,7 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
     }
     val as = Seq.fill(4)(d1("x"))
     val bs = Seq.fill(4)(d1("y"))
-    val efficient = new IncrementalCartesian
+    val efficient = new IncrementalBilinear(_ cartesian _)
     val brute = Op.incremental2(ZSetOps.cartesian)(gA, gB, gC)
     as.zip(bs).foreach { case (da, db) =>
       assert(efficient.step(da, db).zequals(brute.step(da, db)))
@@ -89,7 +89,7 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
     val da2 = zs2("k", "va", (2L, 20L) -> 1L)
     val db1 = zs2("k", "vb", (1L, 100L) -> 1L)
     val db2 = zs2("k", "vb", (2L, 200L) -> 1L, (1L, 100L) -> -1L)
-    val inc = new IncrementalJoin(Seq("k"))
+    val inc = new IncrementalBilinear(_.join(_, Seq("k")))
     val out = inc.step(da1, db1).plus(inc.step(da2, db2))
     val full = da1.plus(da2).join(db1.plus(db2), Seq("k"))
     assert(out.zequals(full))
@@ -143,9 +143,9 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
     val da = zs2("k", "va", (3L, 30L) -> 1L, (1L, 10L) -> -1L)
     val db = zs2("k", "vb", (2L, 9L) -> 1L)
 
-    val bulk = new IncrementalJoin(Seq("k"))
+    val bulk = new IncrementalBilinear(_.join(_, Seq("k")))
     bulk.step(a, b)
-    val seeded = new IncrementalJoin(Seq("k"))
+    val seeded = new IncrementalBilinear(_.join(_, Seq("k")))
     seeded.seed(a, b)
     assert(bulk.step(da, db).zequals(seeded.step(da, db)))
   }
@@ -204,7 +204,7 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
   }
 
   test("a join tick over small inputs plans no exchange, through an aliasing projection and a sum") {
-    val op = new IncrementalJoin(Seq("k"))
+    val op = new IncrementalBilinear(_.join(_, Seq("k")))
     op.step(zs2("k", "va", (1L, 10L) -> 1L, (2L, 20L) -> 1L).compact(),
       zs2("k", "vb", (1L, 100L) -> 1L, (2L, 200L) -> 1L).compact())
     val out = op.step(zs2("k", "va", (2L, 21L) -> 1L, (1L, 10L) -> -1L).compact(),
@@ -251,7 +251,7 @@ class IncrementalOpsSpec extends SparkSpec with ZSetFixtures with SparkProbes {
       assert(big.entryCount == 4000)
       val small = zs2("k", "vb", (7L, 1L) -> 1L, (8L, 2L) -> 1L).compact()
       assert(small.isSinglePartition)
-      val op = new IncrementalJoin(Seq("k"))
+      val op = new IncrementalBilinear(_.join(_, Seq("k")))
       op.seed(big, ZSet.empty(spark, small.dataSchema))
       val dBig = zs2("k", "va", (7L, 5000L) -> 1L, (7L, 7L) -> -1L).compact()
       val out = op.step(dBig, small)

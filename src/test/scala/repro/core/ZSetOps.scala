@@ -5,9 +5,9 @@ import org.apache.spark.sql.functions._
 import repro.circuit.{Op, Op2}
 import repro.zset.ZSet
 
-/** Lifted (per-tick) Z-set operators — the `↑f` boxes of the paper's circuits.
-  * Linear operators are their own incremental versions (Theorem 3.3), so the
-  * same instances appear unchanged in incremental circuits.
+/** Lifted (per-tick) Z-set operators — the `↑f` boxes of the paper's circuits —
+  * for the brute-force `D ∘ ↑f ∘ I` references the tests compare against.
+  * Linear operators are their own incremental versions (Theorem 3.3).
   */
 object ZSetOps {
 
@@ -32,7 +32,7 @@ object ZSetOps {
   /** ↑distinct — Definition 4.3. NOT linear; see [[IncrementalDistinct]]. */
   def distinct: Op[ZSet, ZSet] = Op.lift(_.distinctZ)
 
-  /** ↑⋈ — equi-join; bilinear (weights multiply). See [[IncrementalJoin]]. */
+  /** ↑⋈ — equi-join; bilinear (weights multiply). See [[IncrementalBilinear]]. */
   def join(keys: Seq[String]): Op2[ZSet, ZSet, ZSet] =
     Op.lift2((a, b) => a.join(b, keys))
 

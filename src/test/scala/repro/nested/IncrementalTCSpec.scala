@@ -2,13 +2,13 @@ package repro.nested
 
 import repro.recursive.TransitiveClosure
 import repro.zset.ZSet
-import repro.{SparkSpec, ZSetFixtures}
+import repro.{SparkProbes, SparkSpec, ZSetFixtures}
 
 /** §6.1 end to end: the incrementally-maintained transitive closure must
   * track `TC(I(ΔE))` delta for delta, through insertions and deletions —
   * the paper's "incremental recursive query".
   */
-class IncrementalTCSpec extends SparkSpec with ZSetFixtures {
+class IncrementalTCSpec extends SparkSpec with ZSetFixtures with SparkProbes {
 
   private def edges(pairs: (Long, Long)*): ZSet =
     zs2("h", "t", pairs.map(p => p -> 1L): _*)
@@ -78,5 +78,21 @@ class IncrementalTCSpec extends SparkSpec with ZSetFixtures {
     val (d, _) = itc.step(edges(1L -> 3L).plus(edges(1L -> 3L))) // weight-2 insert of a derivable fact...
     // (1,3) is already in the closure; R is a set, so the view must not change.
     assert(d.isEmpty)
+  }
+
+  test("a single-edge insert after a bulk load runs no more Spark jobs than the hand-wired circuit") {
+    // Three layers of three nodes; the inserted edge skips the middle layer
+    // and derives one new fact, (0, 8).
+    val dag = edges(0L -> 3L, 0L -> 4L, 1L -> 4L, 1L -> 5L, 2L -> 5L, 2L -> 3L,
+                    3L -> 6L, 3L -> 7L, 4L -> 7L, 5L -> 8L).compact()
+    val skip = edges(0L -> 8L).compact()
+    val itc = new IncrementalTransitiveClosure(spark)
+    itc.step(dag)
+    var stats: IncTcStats = null
+    val jobs = jobsDuring { stats = itc.step(skip)._2 }
+    assert(stats == IncTcStats(3, Seq(1L, 0L, 0L)))
+    // The Figure 2 circuit wired by hand, before it was derived from
+    // `TransitiveClosure.body`, ran 12 jobs for this step.
+    assert(jobs <= 12, s"$jobs jobs")
   }
 }
